@@ -3,7 +3,8 @@
 // (the lookahead). Within a window shards execute independently —
 // nothing a shard does before the window closes can affect another
 // shard earlier than the lookahead — and cross-shard hand-offs are
-// exchanged at window barriers through per-shard outboxes.
+// exchanged at window barriers through per-(source, destination)
+// outboxes.
 //
 // Determinism does not depend on the partition: hand-offs are injected
 // into the destination shard in a canonical (arrival time, key) order,
@@ -22,21 +23,18 @@ import (
 	"sync/atomic"
 )
 
-// xfer is one cross-shard hand-off: a callback (or typed kind+target
-// pair, for hot paths like wire delivery) to inject into the destination
-// shard at the next window barrier.
+// xfer is one cross-shard hand-off: a typed kind+target pair to inject
+// into the destination shard at the next window barrier.
 type xfer struct {
 	at   Time
 	key  uint64
-	fn   func(any)
 	arg  any
-	dst  int32
 	tgt  uint32
 	kind EventKind
 }
 
 // Group synchronizes N shard simulators with conservative time windows.
-// Model code running inside a window may call Send (to hand work to
+// Model code running inside a window may call SendKind (to hand work to
 // another shard), RequestStop, and Stopping; everything else on Group
 // is coordinator-only.
 type Group struct {
@@ -44,8 +42,14 @@ type Group struct {
 	lookahead Time
 	workers   int
 
-	out  [][]xfer // per-source outbox, written only by that shard's worker
-	pend [][]xfer // per-destination scratch reused across barriers
+	// out holds one outbox per (source, destination) pair at
+	// out[src*stride+dst]; only src's worker appends to it mid-window.
+	// The stride pads each source's row of slice headers to whole cache
+	// lines, so workers appending in parallel do not share one.
+	out    [][]xfer
+	stride int
+	runs   []int // scratch: sources with a non-empty run to the destination
+	pos    []int // scratch: merge cursor per source
 
 	// stopReq is set by model code (any shard, mid-window); it is
 	// latched into stopLatched only at barriers so every shard observes
@@ -65,12 +69,15 @@ func NewGroup(n int, lookahead Time) *Group {
 	if lookahead < 1 {
 		panic(fmt.Sprintf("sim: group lookahead %v must be positive", lookahead))
 	}
+	stride := (n + 7) &^ 7 // 8 headers of 24 bytes = 3 cache lines
 	g := &Group{
 		shards:    make([]*Sim, n),
 		lookahead: lookahead,
 		workers:   1,
-		out:       make([][]xfer, n),
-		pend:      make([][]xfer, n),
+		out:       make([][]xfer, n*stride),
+		stride:    stride,
+		runs:      make([]int, 0, n),
+		pos:       make([]int, n),
 	}
 	for i := range g.shards {
 		g.shards[i] = New()
@@ -97,20 +104,16 @@ func (g *Group) SetWorkers(n int) {
 	g.workers = n
 }
 
-// Send queues a hand-off from shard src to shard dst: fn(arg) will run
-// on dst at absolute time at. The key must be unique among all
-// hand-offs at the same instant (wires use id<<32 | seq); it fixes the
-// injection order so the destination's event sequence is independent of
-// the partition. Send may only be called from code executing on src.
-func (g *Group) Send(src, dst int, at Time, key uint64, fn func(any), arg any) {
-	g.out[src] = append(g.out[src], xfer{at: at, key: key, fn: fn, arg: arg, dst: int32(dst)})
-}
-
-// SendKind queues a typed hand-off: the kind's handler fires on dst at
-// absolute time at with (target, arg), where tgt was registered on the
-// DESTINATION shard's simulator. Ordering semantics match Send.
+// SendKind queues a hand-off from shard src to shard dst: the kind's
+// handler fires on dst at absolute time at with (target, arg), where tgt
+// was registered on the DESTINATION shard's simulator. The key must be
+// unique among all hand-offs at the same instant (wires use
+// id<<32 | seq); it fixes the injection order so the destination's
+// event sequence is independent of the partition. SendKind may only be
+// called from code executing on src.
 func (g *Group) SendKind(src, dst int, at Time, key uint64, k EventKind, tgt uint32, arg any) {
-	g.out[src] = append(g.out[src], xfer{at: at, key: key, kind: k, tgt: tgt, arg: arg, dst: int32(dst)})
+	i := src*g.stride + dst
+	g.out[i] = append(g.out[i], xfer{at: at, key: key, kind: k, tgt: tgt, arg: arg})
 }
 
 // RequestStop asks the group to stop at the next window barrier. Safe
@@ -156,69 +159,67 @@ func (g *Group) Run(horizon Time) Time {
 	return end
 }
 
-// inject drains every outbox into the destination shards in canonical
+// inject drains every outbox into its destination shard in canonical
 // (at, key) order. Hand-offs always target a strictly later window, so
 // injection cannot schedule into a shard's past.
+//
+// Each (src, dst) run is first put in order in place; a source's
+// deliveries leave at nondecreasing times over a uniform link delay, so
+// only same-instant key ties are out of place and the fix-up is linear.
+// A destination's runs are then merged by scanning the run heads — at
+// most one run per shard, so a linear scan beats a heap — and posted
+// straight from the outboxes. Ties go to the lower source, so the order
+// is the one a stable sort of the runs' concatenation gives; keys are
+// unique, so that is the total (at, key) order.
 func (g *Group) inject() {
-	if len(g.shards) == 1 {
-		// Single shard: every hand-off targets shard 0 and the outbox
-		// already holds them in send order, so sort and post in place —
-		// the same sequence the pend copy would produce.
-		p := g.out[0]
-		if len(p) == 0 {
-			return
-		}
-		sortXfers(p)
-		s := g.shards[0]
-		for j := range p {
-			if p[j].kind != kindFnArg {
-				s.PostKind(p[j].at, p[j].kind, p[j].tgt, p[j].arg)
-			} else {
-				s.PostArg(p[j].at, p[j].fn, p[j].arg)
+	n, st, pos := len(g.shards), g.stride, g.pos
+	for d, s := range g.shards {
+		runs := g.runs[:0]
+		for src := 0; src < n; src++ {
+			if r := g.out[src*st+d]; len(r) > 0 {
+				sortXfers(r)
+				pos[src] = 0
+				runs = append(runs, src)
 			}
 		}
-		for j := range p {
-			p[j].fn, p[j].arg = nil, nil // don't pin pooled packets
-		}
-		g.out[0] = p[:0]
-		return
-	}
-	for i := range g.pend {
-		g.pend[i] = g.pend[i][:0]
-	}
-	for si := range g.out {
-		ob := g.out[si]
-		for j := range ob {
-			g.pend[ob[j].dst] = append(g.pend[ob[j].dst], ob[j])
-		}
-		for j := range ob {
-			ob[j].fn, ob[j].arg = nil, nil // don't pin pooled packets
-		}
-		g.out[si] = ob[:0]
-	}
-	for d := range g.pend {
-		p := g.pend[d]
-		if len(p) == 0 {
+		if len(runs) == 0 {
 			continue
 		}
-		sortXfers(p)
-		s := g.shards[d]
-		for j := range p {
-			if p[j].kind != kindFnArg {
-				s.PostKind(p[j].at, p[j].kind, p[j].tgt, p[j].arg)
-			} else {
-				s.PostArg(p[j].at, p[j].fn, p[j].arg)
+		for len(runs) > 1 {
+			bi := 0
+			best := &g.out[runs[0]*st+d][pos[runs[0]]]
+			for r := 1; r < len(runs); r++ {
+				x := &g.out[runs[r]*st+d][pos[runs[r]]]
+				if x.at < best.at || (x.at == best.at && x.key < best.key) {
+					bi, best = r, x
+				}
+			}
+			s.PostKind(best.at, best.kind, best.tgt, best.arg)
+			src := runs[bi]
+			if pos[src]++; pos[src] == len(g.out[src*st+d]) {
+				runs = append(runs[:bi], runs[bi+1:]...)
 			}
 		}
-		for j := range p {
-			p[j].fn, p[j].arg = nil, nil
+		// The last run posts straight; a one-shard group never merges.
+		last := runs[0]
+		p := g.out[last*st+d]
+		for j := pos[last]; j < len(p); j++ {
+			s.PostKind(p[j].at, p[j].kind, p[j].tgt, p[j].arg)
+		}
+		for src := 0; src < n; src++ {
+			i := src*st + d
+			clear(g.out[i]) // don't pin pooled packets
+			g.out[i] = g.out[i][:0]
 		}
 	}
 }
 
-// sortXfers orders hand-offs by (at, key). Keys are unique, so the
-// order is total. Windows carry few hand-offs, so an allocation-free
-// insertion sort beats sort.Slice here.
+// sortXfers orders one (src, dst) run by (at, key) in place. Keys are
+// unique, so the order is total. A run arrives already ordered by at
+// except when its source mixes link delays, so this allocation-free
+// insertion pass moves only the same-instant key ties and is linear on
+// the common input; a run that is not ordered by at still comes out
+// right, at quadratic cost.
 func sortXfers(p []xfer) {
 	for i := 1; i < len(p); i++ {
 		x := p[i]
